@@ -41,10 +41,12 @@ struct SearchResult {
 /// cliff at k=256 can visit billions of nodes), so the pruned searcher's
 /// incumbent descent and the differential oracle both stop after this
 /// many Select() calls. Sized so an aborting descent costs ~100us — a
-/// small slice of the pruned searcher's sub-millisecond plan budget at
-/// production scale — while a clean descent (~k selects) never comes
-/// close. The oracle's reference backtracking run uses the same constant
-/// so abort parity between the two stays a checkable invariant.
+/// small slice of a production-scale pruned plan (about 1.4 ms p50 and
+/// 2.1 ms p99 for r=16, k=256 on a 4-vCPU host; `python3
+/// perfbench/run.py --workload plan_homog`) — while a clean descent
+/// (~k selects) never comes close. The oracle's reference backtracking
+/// run uses the same constant so abort parity between the two stays a
+/// checkable invariant.
 inline constexpr std::size_t kIncumbentNodeBudget = 4'096;
 
 /// Estimated relative batch energy of a tuple: claimed cores spin/work at
@@ -85,8 +87,8 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 /// Energy-optimal search that scales to production tables (r=16, k=256):
 /// a dynamic program over the nondecreasing-tuple lattice. States are
 /// (class boundary, last rung) pairs carrying Pareto frontiers of
-/// (cores used, energy so far); three exact reductions keep the
-/// frontiers small:
+/// (cores used per core pool, energy so far); three exact reductions
+/// keep the frontiers small:
 ///
 ///   - admissible lower bounds: for every (remaining classes, minimum
 ///     rung) pair the cheapest possible remaining energy and demand are
@@ -95,12 +97,22 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 ///     optimistic completion cannot beat the incumbent (or fit the core
 ///     budget) is cut;
 ///   - incumbent seeding: Algorithm 1's backtracking solution primes the
-///     upper bound before the sweep starts, and a near-free scalar beam
-///     pilot pass tightens it further (so the main sweep only ever
-///     explores the near-optimal band, even when the descent aborted);
+///     upper bound before the sweep starts, and a second bound tightens
+///     it (so the sweep only ever explores the near-optimal band, even
+///     when the descent aborted): a near-free scalar two-chain pilot
+///     pass when the table has one core pool, an unbudgeted greedy
+///     descent when it has several and the backtracking descent aborted;
 ///   - dominance: a partial tuple ending at the same rung that uses no
-///     fewer cores and no less energy than another is dropped (its
-///     completion set is a subset, so it cannot produce a better plan).
+///     fewer cores of any pool and no less energy than another is
+///     dropped (its completion set is a subset, so it cannot produce a
+///     better plan).
+///
+/// One DP serves both kinds of table. A homogeneous table is one pool
+/// of `total_cores` cores; a typed table (CCTable::build_typed) has one
+/// pool per core type, prices rows with the topology's power models and
+/// ignores `model`. With one pool the frontiers are plain 1-D fronts, so
+/// a single-type typed table plans exactly like CCTable::build under the
+/// same power model.
 ///
 /// Returns the same minimum-energy result as search_exhaustive, with the
 /// same documented tie-break (fewest cores used, then the
@@ -113,10 +125,14 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 /// there): frontiers wider than an internal cap are thinned to a
 /// deterministic evenly-spaced subset that always keeps both endpoints,
 /// and the incumbent descent stops at kIncumbentNodeBudget nodes. The
-/// feasibility answer stays exact either way (the minimum-demand chain
-/// survives thinning), and the result is never worse than the incumbent
-/// whenever that descent completed (the incumbent tuple re-enters the
-/// final selection).
+/// result is never worse than the incumbent whenever that descent
+/// completed (the incumbent tuple re-enters the final selection). With
+/// one pool the feasibility answer stays exact either way (the
+/// minimum-demand chain survives thinning, and the pilot's completions
+/// re-enter the final selection). With several pools the min-demand
+/// endpoint is no per-pool feasibility proof: past the exhaustive gate,
+/// found-ness rests on the incumbent, the greedy witness or a surviving
+/// thinned chain.
 SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
                            const energy::PowerModel* model = nullptr);
 

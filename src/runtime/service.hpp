@@ -81,10 +81,12 @@ struct ServiceOptions {
   /// baseline for bench_service_traffic).
   bool planner_enabled = true;
   /// Searcher the planner epoch runs. Defaults to the pruned/DP search:
-  /// optimal like exhaustive but sub-millisecond at production scale
-  /// (r=16, k=256), so a re-plan stays well inside one epoch and the
-  /// staleness watchdog has headroom. Overrides the batch-mode
-  /// controller.adjuster.search for the planner thread only.
+  /// optimal like exhaustive, and at production scale (r=16, k=256) a
+  /// plan takes about 1.4 ms p50 and 2.1 ms p99 on a 4-vCPU host
+  /// (`python3 perfbench/run.py --workload plan_homog`), so a re-plan
+  /// fits inside one epoch and the staleness watchdog has headroom.
+  /// Overrides the batch-mode controller.adjuster.search for the
+  /// planner thread only.
   core::SearchKind planner_search = core::SearchKind::kPruned;
   /// Classes served; must cover every class submitted.
   std::vector<ServiceClassConfig> classes;

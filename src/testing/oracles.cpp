@@ -1398,8 +1398,10 @@ CheckResult check_hetero(const HeteroSpec& spec) {
 
   // Degenerate-equality law 1: a single-type scale-1 topology is the
   // homogeneous machine, and build_typed must reproduce CCTable::build
-  // bit for bit (same searcher feasibility follows from the identical
-  // table + a capacity equal to the single type's count).
+  // bit for bit. Same feasibility follows from the identical table and
+  // a capacity equal to the single type's count; with the type's power
+  // model priced into the homogeneous search, the same tuple follows
+  // too (without one, the two proxies price rungs differently).
   if (spec.types.size() == 1 && spec.types[0].mips_scale == 1.0) {
     const auto hom = core::CCTable::build(
         spec.classes, dvfs::FrequencyLadder(spec.types[0].ladder_ghz),
@@ -1414,11 +1416,17 @@ CheckResult check_hetero(const HeteroSpec& spec) {
         }
       }
     }
-    const auto pr_hom = core::search_pruned(hom, m);
+    const auto pr_hom =
+        core::search_pruned(hom, m, topo.type(0).model.get());
     if (pr_hom.found != pr.found) {
       return CheckResult::fail(
           fmtf("single-type feasibility: typed pruned=%d homogeneous=%d",
                pr.found ? 1 : 0, pr_hom.found ? 1 : 0));
+    }
+    if (spec.use_models && pr_hom.tuple != pr.tuple) {
+      return CheckResult::fail(
+          fmtf("single-type tuple: typed pruned %s != homogeneous %s",
+               tuple_str(pr.tuple).c_str(), tuple_str(pr_hom.tuple).c_str()));
     }
     if (pr_hom.found &&
         !core::tuple_is_valid(cc, pr_hom.tuple, m)) {

@@ -24,6 +24,7 @@
 #include "trace/arrivals.hpp"
 #include "sim/simulate.hpp"
 #include "testing/fuzz.hpp"
+#include "testing/scenario.hpp"
 #include "trace/synthetic.hpp"
 
 namespace eewa {
@@ -227,6 +228,27 @@ TEST(TypedSearch, PerTypeCapacityBindsBeforeGlobal) {
     }
     EXPECT_LE(static_cast<double>(fast_used), 1.0 + 1e-9);
     EXPECT_TRUE(core::tuple_is_valid(cc, res.tuple, m));
+  }
+}
+
+// The single-type law at production size: a one-type typed table with
+// the spec's power model is the homogeneous machine, so the pruned
+// searcher must return the same tuple on it as on CCTable::build priced
+// by that model, over search-large's r <= 16, k <= 256 shapes.
+TEST(TypedSearch, SingleTypeMatchesHomogeneousAtProductionSize) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const auto spec = testing::TableSpec::random_large(seed);
+    const auto model =
+        std::make_shared<const energy::PowerModel>(spec.build_model());
+    const auto topo = MachineTopology::homogeneous(
+        "h", dvfs::FrequencyLadder(spec.ladder_ghz), spec.cores, model);
+    const auto typed = CCTable::build_typed(spec.classes, topo,
+                                            spec.ideal_time_s,
+                                            spec.memory_aware);
+    const auto pt = core::search_pruned(typed, spec.cores);
+    const auto ph = core::search_pruned(spec.build(), spec.cores, model.get());
+    ASSERT_EQ(pt.found, ph.found) << "seed=" << seed;
+    EXPECT_EQ(pt.tuple, ph.tuple) << "seed=" << seed;
   }
 }
 

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 
+#include "core/core_type.hpp"
 #include "core/ktuple_search.hpp"
 #include "testing/scenario.hpp"
 #include "util/rng.hpp"
@@ -340,6 +344,91 @@ TEST(SuffixSearch, FullLengthPrefixEvaluatesAsIs) {
   ASSERT_TRUE(sfx.found);
   EXPECT_EQ(sfx.tuple, prefix);
   EXPECT_EQ(sfx.cores_used, 16u);
+}
+
+// ------------------------------------------------ pinned planner digest --
+
+/// FNV-1a over what the pruned searcher keeps bitwise stable across
+/// refactors: found, the tuple, nodes_visited and aborted.
+struct SearchDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(const SearchResult& r) {
+    add(r.found ? 1 : 0);
+    add(r.tuple.size());
+    for (const std::size_t j : r.tuple) add(j);
+    add(r.nodes_visited);
+    add(r.aborted ? 1 : 0);
+  }
+  /// search_pruned, then search_suffix with the winner's first half
+  /// pinned as the prefix.
+  void add_searches(const CCTable& cc, std::size_t m,
+                    const energy::PowerModel* model) {
+    const auto full = search_pruned(cc, m, model);
+    add(full);
+    if (!full.found) return;
+    const auto half = static_cast<std::ptrdiff_t>(full.tuple.size() / 2);
+    const std::vector<std::size_t> prefix(full.tuple.begin(),
+                                          full.tuple.begin() + half);
+    add(search_suffix(cc, m, SearchKind::kPruned, prefix, model));
+  }
+};
+
+/// A search-large spec's classes on a two-type machine: its ladder and
+/// power model for both types, half the cores slowed to 0.55x MIPS.
+CCTable two_type_table(const testing::TableSpec& spec) {
+  const dvfs::FrequencyLadder ladder(spec.ladder_ghz);
+  std::shared_ptr<const energy::PowerModel> model;
+  if (spec.use_model) {
+    model = std::make_shared<const energy::PowerModel>(spec.build_model());
+  }
+  CoreType big;
+  big.name = "big";
+  big.ladder = ladder;
+  big.mips_scale.assign(ladder.size(), 1.0);
+  big.model = model;
+  big.count = spec.cores / 2;
+  CoreType little = big;
+  little.name = "LITTLE";
+  little.mips_scale.assign(ladder.size(), 0.55);
+  little.count = spec.cores - big.count;
+  return CCTable::build_typed(spec.classes, MachineTopology({big, little}),
+                              spec.ideal_time_s, spec.memory_aware);
+}
+
+// The pruned searcher's exact output on a fixed input set, recorded
+// when homogeneous and typed tables still had separate DPs: production
+// homogeneous tables (search-large seeds, with and without a power
+// model), production two-type tables, and multi-type HeteroSpec tables
+// past the r·k <= 25 exhaustive gate. A change to the DP that moves any
+// tuple, node count or abort flag changes the digest.
+TEST(Pruned, PinnedPlannerDigest) {
+  SearchDigest d;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const auto spec = testing::TableSpec::random_large(seed);
+    const auto model = spec.build_model();
+    d.add_searches(spec.build(), spec.cores,
+                   spec.use_model ? &model : nullptr);
+  }
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto spec = testing::TableSpec::random_large(seed);
+    d.add_searches(two_type_table(spec), spec.cores, nullptr);
+  }
+  std::size_t hetero = 0;
+  for (std::uint64_t seed = 1; hetero < 40; ++seed) {
+    const auto spec = testing::HeteroSpec::random(seed);
+    if (spec.types.size() < 2) continue;
+    const auto cc = spec.build();
+    if (cc.rows() * cc.cols() <= 25) continue;
+    ++hetero;
+    d.add_searches(cc, spec.total_cores(), nullptr);
+  }
+  EXPECT_EQ(d.h, 0xa9ae1dd83acfbb92ULL) << std::hex << d.h;
 }
 
 // ------------------------------------------------ randomized properties --

@@ -16,7 +16,6 @@
 #include "util/cpu_affinity.hpp"
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -332,13 +331,6 @@ TEST(TablePrinter, AlignsColumns) {
 TEST(TablePrinter, FixedFormatsDecimals) {
   EXPECT_EQ(TablePrinter::fixed(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fixed(2.0, 0), "2");
-}
-
-TEST(Logging, LevelGateWorks) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(old);
 }
 
 TEST(Aligned, CellsOccupyDistinctCacheLines) {
