@@ -1,19 +1,22 @@
 // Allocation-freedom checks for the fleet hot loop, via the same
 // counting global allocator spawn_path_test uses: once the reused
 // buffers reach their high-water capacity, an epoch's worth of
-// ArrivalStream::drain_until must perform zero heap allocations, and
-// Machine::configure_pools must stop reallocating when the pool shape
-// repeats (the fleet runs one machine through hundreds of thousands of
-// same-shaped batches).
+// ArrivalStream::drain_until must perform zero heap allocations, and so
+// must a whole Machine::run_batch on a fleet-shaped batch (the fleet
+// runs one machine through hundreds of thousands of same-shaped
+// batches).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "sim/fleet.hpp"
+#include "sim/machine.hpp"
 #include "trace/arrivals.hpp"
 
 // ---------------------------------------------------------------------------
@@ -91,6 +94,81 @@ TEST(FleetAlloc, DrainUntilGrowsOnlyToTheHighWaterMark) {
   b.drain_until(0.1, false, out);  // same bytes, same size, no growth
   EXPECT_EQ(out.size(), big);
   EXPECT_EQ(tl_heap_allocs, before);
+}
+
+/// Places round-robin, pops locally, steals, and asks for a repoll when
+/// both fail — all through the Machine's own pools and without touching
+/// the heap itself, so the allocation count below is the machine's.
+class LeanPolicy : public sim::Policy {
+ public:
+  std::string name() const override { return "lean"; }
+  void batch_start(sim::Machine& m, const trace::Batch& batch,
+                   std::size_t) override {
+    m.configure_pools(1);
+    for (sim::TaskId i = 0; i < batch.tasks.size(); ++i) {
+      if (batch.tasks[i].release_s == 0.0) place_task(m, i);
+    }
+  }
+  void place_task(sim::Machine& m, sim::TaskId id) override {
+    m.push_task(next_, 0, id);
+    next_ = (next_ + 1) % m.cores();
+  }
+  std::optional<sim::TaskId> acquire(sim::Machine& m,
+                                     std::size_t core) override {
+    if (auto id = m.pop_local(core, 0)) return id;
+    if (auto id = m.steal(core, 0)) return id;
+    m.request_repoll(200e-6);
+    return std::nullopt;
+  }
+  void task_done(sim::Machine&, std::size_t, const trace::TraceTask&,
+                 double) override {}
+  double batch_end(sim::Machine&, double) override { return 0.0; }
+
+ private:
+  std::size_t next_ = 0;
+};
+
+TEST(FleetAlloc, RunBatchIsAllocFreeInSteadyState) {
+  // One 16-core machine fed a fleet epoch's worth of open-loop arrivals
+  // per batch: released over 20 ms in arrival order, so nearly every
+  // task is a mid-batch injection that wakes the idle cores.
+  std::vector<trace::Batch> batches;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    trace::ArrivalSpec arr = busy_spec();
+    arr.seed = seed;
+    arr.cores = 16;
+    arr.duration_s = 0.02;
+    arr.load = 0.5;
+    const auto tr =
+        trace::arrivals_to_trace(arr, trace::generate_arrivals(arr));
+    batches.push_back(tr.batches.at(0));
+  }
+  std::size_t injected = 0;
+  for (const auto& t : batches[0].tasks) injected += t.release_s > 0.0;
+  ASSERT_GT(injected, batches[0].tasks.size() / 2)
+      << "premise: most tasks must arrive mid-batch";
+
+  sim::SimOptions opt;
+  opt.cores = 16;
+  opt.keep_batch_stats = false;
+  opt.fixed_adjuster_overhead_s = 0.0;
+  sim::Machine m(opt);
+  LeanPolicy policy;
+  double t = 0.0;
+  for (int round = 0; round < 4; ++round) {  // warm-up: high-water marks
+    for (const auto& b : batches) t = m.run_batch(policy, b, t);
+  }
+  const std::size_t steals_before = m.total_steals();
+  const std::size_t done_before = m.total_completed();
+  const std::uint64_t before = tl_heap_allocs;
+  for (int round = 0; round < 6; ++round) {
+    for (const auto& b : batches) t = m.run_batch(policy, b, t);
+  }
+  EXPECT_EQ(tl_heap_allocs, before) << "run_batch allocated in steady state";
+  EXPECT_GT(m.total_steals(), steals_before) << "premise: cores must steal";
+  EXPECT_EQ(m.total_completed() - done_before,
+            6 * (batches[0].tasks.size() + batches[1].tasks.size() +
+                 batches[2].tasks.size()));
 }
 
 }  // namespace

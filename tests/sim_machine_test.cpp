@@ -3,9 +3,16 @@
 // task runs once, makespan bounds, energy = ∫P dt bounds).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "sim/fleet.hpp"
 #include "sim/machine.hpp"
 #include "sim/policies.hpp"
 #include "sim/simulate.hpp"
+#include "trace/arrivals.hpp"
 #include "trace/synthetic.hpp"
 
 namespace eewa::sim {
@@ -269,6 +276,221 @@ TEST(Machine, ParkWakeChargeClockStaysMonotone) {
   const double powered_s = park_at + (end2 - wake_at);
   EXPECT_NEAR(m.account().active_s() + m.account().halted_s(),
               4.0 * powered_s, 1e-9);
+}
+
+// ------------------------------------------------ event-loop identity --
+
+/// FNV-1a over the bit patterns of everything a run reports.
+struct SimDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const SimResult& r) {
+    add(r.time_s);
+    add(r.energy_j);
+    add(r.cpu_energy_j);
+    add(std::uint64_t{r.steals});
+    add(std::uint64_t{r.probes});
+    add(std::uint64_t{r.transitions});
+    for (const auto& b : r.batches) {
+      add(b.span_s);
+      add(b.overhead_s);
+      for (const std::size_t n : b.cores_per_rung) add(std::uint64_t{n});
+      add(std::uint64_t{b.steals});
+      add(std::uint64_t{b.probes});
+      add(std::uint64_t{b.transitions});
+      add(b.core_energy_j);
+      add(b.energy_j);
+    }
+    for (const double s : r.rung_residency_s) add(s);
+  }
+  void add(const obs::FleetReport& r) {
+    add(std::uint64_t{r.epochs});
+    add(r.horizon_s);
+    add(std::uint64_t{r.offered});
+    add(std::uint64_t{r.completed});
+    add(std::uint64_t{r.parks});
+    add(std::uint64_t{r.wakes});
+    add(r.powered_machine_s);
+    add(r.parked_machine_s);
+    add(r.energy_j);
+    for (const auto& m : r.per_machine) {
+      add(std::uint64_t{m.routed});
+      add(std::uint64_t{m.completed});
+      add(std::uint64_t{m.batches});
+      add(m.powered_s);
+      add(m.wake_stall_s);
+      add(m.first_start_s);
+      add(m.charged_core_s);
+      add(m.core_energy_j);
+      add(m.floor_energy_j);
+      add(m.sleep_energy_j);
+      add(std::uint64_t{m.steals});
+      add(std::uint64_t{m.probes});
+      add(std::uint64_t{m.dvfs_transitions});
+    }
+  }
+};
+
+/// simulate() without the trace validation that rejects zero-work
+/// tasks: the same back-to-back run_batch loop on one machine.
+SimResult simulate_unchecked(const trace::TaskTrace& t, Policy& policy,
+                             const SimOptions& options) {
+  Machine m(options);
+  double now = 0.0;
+  for (const auto& b : t.batches) now = m.run_batch(policy, b, now);
+  return m.finish(now, policy.name(), t.name);
+}
+
+/// A released-over-time synthetic trace; every third task is zero-work
+/// when `zero_work` is set (with no dispatch cost those complete at the
+/// instant they start, ahead of any wake due at that instant).
+trace::TaskTrace released_trace(std::uint64_t seed, bool zero_work) {
+  trace::SyntheticSpec spec;
+  spec.name = "released";
+  spec.batches = 4;
+  spec.seed = seed;
+  spec.release_window_s = 2e-3;
+  spec.classes = {{"light", 40, 60e-6, 0.4, 0.0, 0.0},
+                  {"heavy", 12, 400e-6, 0.2, 0.01, 0.2}};
+  auto t = trace::generate(spec);
+  if (zero_work) {
+    for (auto& b : t.batches) {
+      for (std::size_t i = 0; i < b.tasks.size(); i += 3) {
+        b.tasks[i].work_s = 0.0;
+      }
+    }
+  }
+  return t;
+}
+
+// Pins every simulated bit of the event loop: fleets of every policy and
+// placement, plus simulate() with mid-batch releases under each policy
+// and the machine options that change how idle cores, probes and
+// zero-length tasks are handled. The value was recorded before the
+// injection cursor and the lazy wake wave replaced per-event heap
+// entries; a change here changed the model, not its speed.
+TEST(SimMachine, PinnedEventLoopDigest) {
+  SimDigest d;
+  for (const char* policy : {"eewa", "cilk", "cilk-d", "ondemand",
+                             "sharing"}) {
+    for (const char* placement : {"round-robin", "least-loaded", "pack"}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        FleetOptions opts;
+        opts.machines = 4;
+        opts.machine.cores = 4;
+        opts.machine.seed = seed;
+        opts.epoch_s = 0.01;
+        opts.policy = policy;
+        opts.placement = placement;
+        trace::ArrivalSpec arr;
+        arr.name = "digest";
+        arr.seed = 100 + seed;
+        arr.cores = 16;
+        arr.duration_s = 0.04;
+        arr.load = 0.6;
+        arr.classes = {{"light", 1.0, 60e-6, 0.3, 0.0, 0.0, 1},
+                       {"heavy", 0.3, 200e-6, 0.2, 0.01, 0.1, 1}};
+        d.add(Fleet(opts, arr).run());
+      }
+    }
+  }
+
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (int variant = 0; variant < 4; ++variant) {
+      SimOptions opt;
+      opt.cores = 8;
+      opt.seed = seed;
+      opt.fixed_adjuster_overhead_s = 20e-6;
+      opt.idle_halt = variant == 1;
+      opt.cores_per_socket = variant == 2 ? 4 : 0;
+      const bool zero_work = variant == 3;
+      if (zero_work) opt.dispatch_overhead_s = 0.0;
+      const auto t = released_trace(seed, zero_work);
+      const auto run = [&](Policy& p) {
+        return zero_work ? simulate_unchecked(t, p, opt)
+                         : simulate(t, p, opt);
+      };
+      for (const char* name : {"cilk", "cilk-d", "ondemand", "sharing",
+                               "eewa"}) {
+        d.add(run(*make_policy(name, t.class_names)));
+      }
+      std::vector<std::size_t> rungs(opt.cores, 3);
+      rungs[0] = rungs[1] = 0;
+      WatsPolicy wats(rungs, t.class_names);
+      d.add(run(wats));
+    }
+  }
+  EXPECT_EQ(d.h, 0x4e71353fe261ec05ULL) << std::hex << d.h;
+}
+
+/// Hands every task to core 0 and logs placements and acquisitions, so
+/// a test can read off the order injections and wakes were served in.
+class RecordingPolicy : public Policy {
+ public:
+  std::vector<TaskId> placed;
+  std::vector<std::pair<double, std::size_t>> acquires;  // (time, core)
+
+  std::string name() const override { return "recording"; }
+  void batch_start(Machine&, const trace::Batch& batch,
+                   std::size_t) override {
+    for (TaskId i = 0; i < batch.tasks.size(); ++i) {
+      if (batch.tasks[i].release_s == 0.0) queue_.push_back(i);
+    }
+  }
+  void place_task(Machine&, TaskId id) override {
+    placed.push_back(id);
+    queue_.push_back(id);
+  }
+  std::optional<TaskId> acquire(Machine& m, std::size_t core) override {
+    acquires.emplace_back(m.now_s(), core);
+    if (core != 0 || queue_.empty()) return std::nullopt;
+    const TaskId id = queue_.front();
+    queue_.erase(queue_.begin());
+    return id;
+  }
+  void task_done(Machine&, std::size_t, const trace::TraceTask&,
+                 double) override {}
+  double batch_end(Machine&, double) override { return 0.0; }
+
+ private:
+  std::vector<TaskId> queue_;
+};
+
+TEST(Machine, EqualTimeInjectionsServeInIndexOrder) {
+  // Core 0 runs task 0 until t = 1 ms; cores 1-3 idle from t = 0. Task 2
+  // is released alone at 0.3 ms, tasks 1, 3 and 4 together at 0.5 ms.
+  // Equal-time injections are placed in task-index order, and each of
+  // the k injections at one instant wakes every then-idle core once:
+  // cores 1-3 re-acquire k times each, ascending by core, while the
+  // busy core 0 is not woken at all.
+  trace::Batch b;
+  b.tasks.push_back({0, 1e-3, 0.0, 0.0, 0.0});
+  b.tasks.push_back({0, 1e-4, 0.0, 0.0, 5e-4});
+  b.tasks.push_back({0, 1e-4, 0.0, 0.0, 3e-4});
+  b.tasks.push_back({0, 1e-4, 0.0, 0.0, 5e-4});
+  b.tasks.push_back({0, 1e-4, 0.0, 0.0, 5e-4});
+  auto opt = small_options();
+  opt.fixed_adjuster_overhead_s = 0.0;
+  Machine m(opt);
+  RecordingPolicy p;
+  m.run_batch(p, b, 0.0);
+
+  EXPECT_EQ(p.placed, (std::vector<TaskId>{2, 1, 3, 4}));
+  std::vector<std::size_t> woken_at_03, woken_at_05;
+  for (const auto& [t, core] : p.acquires) {
+    if (t == 3e-4) woken_at_03.push_back(core);
+    if (t == 5e-4) woken_at_05.push_back(core);
+  }
+  EXPECT_EQ(woken_at_03, (std::vector<std::size_t>{1, 2, 3}));
+  EXPECT_EQ(woken_at_05,
+            (std::vector<std::size_t>{1, 1, 1, 2, 2, 2, 3, 3, 3}));
+  EXPECT_EQ(m.total_completed(), 5u);
 }
 
 TEST(Machine, ParkRefusesToStrandQueuedTasks) {
